@@ -66,6 +66,9 @@ pub struct CellGrid {
     cell: f64,
     cols: i64,
     rows: i64,
+    /// `cols` as `u32` (bind guarantees every cell index fits `u32`), so
+    /// [`CellGrid::cell_coords`] splits an index with one 32-bit division.
+    cols32: u32,
     /// Member records per cell, indexed densely by `cy * cols + cx`.
     cells: Vec<Vec<CellEntry>>,
     /// Cell indices that may be non-empty; may contain stale (emptied)
@@ -141,6 +144,7 @@ impl CellGrid {
         if u32::try_from(cell_count).is_err() || u32::try_from(n).is_err() {
             return None;
         }
+        let cols32 = u32::try_from(cols).ok()?;
         let mut node_cell = Vec::with_capacity(n);
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
@@ -180,6 +184,7 @@ impl CellGrid {
             cell,
             cols,
             rows,
+            cols32,
             cells,
             occupied: Vec::with_capacity(cell_count.min(n)),
             in_occupied: vec![false; cell_count],
@@ -242,8 +247,7 @@ impl CellGrid {
 
     /// Integer cell coordinates `(cx, cy)` of a dense cell index.
     pub fn cell_coords(&self, cell: u32) -> (i64, i64) {
-        let c = cell as i64;
-        (c % self.cols, c / self.cols)
+        (i64::from(cell % self.cols32), i64::from(cell / self.cols32))
     }
 
     /// Members of cell `cell`, as packed records.

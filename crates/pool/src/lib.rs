@@ -545,6 +545,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::reversed_empty_ranges)] // the inverted range is the case under test
     fn par_seeds_handles_empty_and_inverted_ranges() {
         let pool = Pool::new(2);
         assert!(pool.par_seeds(5..5, |s| s).is_empty());

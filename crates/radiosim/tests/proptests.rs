@@ -157,7 +157,7 @@ proptest! {
         let mut mixed_rec = sinr_obs::FullRecorder::new();
         let mut mixed_slots = 0u64;
         while !mixed.all_done() && mixed_slots < 5_000 {
-            if (mixed_slots / stride) % 2 == 0 {
+            if (mixed_slots / stride).is_multiple_of(2) {
                 mixed.step();
             } else {
                 mixed.step_recorded(&mut mixed_rec);

@@ -21,12 +21,19 @@
 //!    (pure dense-index arithmetic). A candidate receiver then walks its
 //!    cell's near list, streaming each near cell's packed
 //!    `(x, y, id)` entries for the exact near sum; everything not in the
-//!    list is *far* and only counted. The far tail is bounded by
-//!    `|far| · P / (reach·R_T)^α` — a Lemma-3-style conservative ring
-//!    bound: every far transmitter sits strictly beyond `reach · R_T`, so
-//!    its true contribution is strictly below the per-node cap (see
-//!    `Distributed Node Coloring in the SINR Model`, Lemma 3, and the
-//!    uniform-power tail bounds of Avin et al., arXiv:0906.2311).
+//!    list is *far* and only counted, ring by ring. Once per slot a
+//!    summed-area table of the grid's per-cell member counts turns every
+//!    Chebyshev box count into four lookups, and each stamped candidate
+//!    cell walks a fixed ladder of radii — `reach, reach+1, …, 2·reach`,
+//!    then doubling to the grid span. The annulus `(r, r′]` is charged
+//!    its transmitter count times `P / (r·R_T)^α`: a transmitter more than
+//!    `r` cells away (Chebyshev) sits strictly beyond `r · R_T`, so its
+//!    true contribution is strictly below that cap. This is the ring-wise
+//!    far-field bound of `Distributed Node Coloring in the SINR Model`,
+//!    Lemma 3 (cf. the uniform-power tail bounds of Avin et al.,
+//!    arXiv:0906.2311); every cap is at most `P / (reach·R_T)^α`, so the
+//!    ring tail never exceeds charging every far transmitter at the
+//!    nearest ring.
 //! 3. A sender is decoded on the fast path only when the *pessimistic*
 //!    SINR (far tail fully charged) already clears `β` **and** no other
 //!    sender clears `β` even *optimistically* (far tail zero). A slot
@@ -52,9 +59,10 @@
 //! in layout quality over arbitrarily long runs.
 //!
 //! All scratch state (transmitter bitmap, candidate marks, the transmitter
-//! grid, the stamped near lists) lives behind a `RefCell` and is reused
-//! across slots, so steady-state resolution performs no allocation beyond
-//! the returned table.
+//! grid, the stamped near lists, the count table and the per-cell far
+//! tails) lives behind a `RefCell` and is reused across slots, so
+//! steady-state resolution performs no allocation beyond the returned
+//! table.
 
 use crate::config::SinrConfig;
 use crate::interference::{received_power, received_power_d2, sinr_from_total};
@@ -65,11 +73,17 @@ use std::cell::RefCell;
 
 /// Default near-window half-width, in grid cells (cell side = `R_T`).
 ///
-/// Transmitters beyond `4·R_T` contribute at most `P/(4·R_T)^α` each —
-/// under the default profile (`α = 4`, `R_T = 1`, `N = 1/(2β)`) that is
-/// `< 1.2%` of the ambient noise per transmitter, so the optimistic and
-/// pessimistic SINR bounds almost always agree and the exact fallback is
-/// rare (the `ResolverStats` hit rate makes this observable).
+/// Transmitters inside the window are summed exactly; the rest are only
+/// counted and charged ring by ring, starting at `P/(reach·R_T)^α` for the
+/// ring just outside the window. Under the default profile (`α = 4`,
+/// `R_T = 1`, `N = 1/(2β)`) that first cap is `< 1.2%` of the ambient
+/// noise per transmitter and each later ring is charged less, so the
+/// optimistic and pessimistic SINR bounds almost always agree and the
+/// exact fallback is rare (the `ResolverStats` hit rate makes this
+/// observable). Because later rings are charged less, the hit rate no
+/// longer depends on a wide window: reach 2–3 certify ≥ 97% of
+/// steady-contention candidates as well (`docs/PERFORMANCE.md`, "Tuning
+/// `reach`").
 pub const DEFAULT_NEAR_REACH_CELLS: i64 = 4;
 
 /// Below this many transmitters the naive `O(k)` sum is cheaper than
@@ -182,6 +196,15 @@ struct NearRef {
     sender: bool,
 }
 
+/// One rung of the far-field ladder: transmitters whose Chebyshev cell
+/// distance lies in `(radius, next rung's radius]` are each charged
+/// `cap = P / (radius·R_T)^α`.
+#[derive(Debug, Clone, Copy)]
+struct Rung {
+    radius: i64,
+    cap: f64,
+}
+
 /// The persistent incremental state: the bound transmitter grid, the
 /// previous slot's transmitter list (for self-diffing), the epoch clock,
 /// and the per-slot candidate-cell stamping scratch.
@@ -214,6 +237,14 @@ struct GridState {
     stamped: Vec<u32>,
     /// Near list per stamped candidate cell; pooled and reused.
     near_refs: Vec<Vec<NearRef>>,
+    /// Ring-wise far tail per stamped candidate cell, indexed like
+    /// `near_refs`.
+    far_tail: Vec<f64>,
+    /// Far-field radii of the bound grid (see [`build_ladder`]).
+    ladder: Vec<Rung>,
+    /// Summed-area table of per-cell member counts, `(rows+1)·(cols+1)`
+    /// entries, rebuilt once per grid slot (see [`charge_ring_tails`]).
+    counts: Vec<u32>,
 }
 
 impl GridState {
@@ -229,6 +260,9 @@ impl GridState {
             cand_cell_idx: Vec::new(),
             stamped: Vec::new(),
             near_refs: Vec::new(),
+            far_tail: Vec::new(),
+            ladder: Vec::new(),
+            counts: Vec::new(),
         }
     }
 }
@@ -283,12 +317,11 @@ struct SlotCtx<'a> {
     grid: Option<&'a CellGrid>,
     cand_cell_idx: &'a [u32],
     near_refs: &'a [Vec<NearRef>],
-    far_cap: f64,
+    far_tail: &'a [f64],
     adjacency_r2: f64,
     power: f64,
     alpha: f64,
     beta: f64,
-    k: usize,
 }
 
 /// Resolves one candidate receiver into `cs` (pairs + counters).
@@ -306,12 +339,13 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) {
         // stamping: this candidate's cell carries the list of occupied
         // transmitter cells within `reach`. Stream each near cell's
         // packed entries for the exact near sum; everything else is far
-        // and only counted. Senders must lie within R_T = one cell side,
-        // so they live in cells flagged `sender` (Chebyshev ≤ 1) and are
-        // collected for the SINR evaluation below.
-        let refs = &ctx.near_refs[ctx.cand_cell_idx[grid.cell_of(u) as usize] as usize];
+        // and was charged ring by ring into the cell's far tail. Senders
+        // must lie within R_T = one cell side, so they live in cells
+        // flagged `sender` (Chebyshev ≤ 1) and are collected for the SINR
+        // evaluation below.
+        let idx = ctx.cand_cell_idx[grid.cell_of(u) as usize] as usize;
+        let refs = &ctx.near_refs[idx];
         let mut near_sum = 0.0f64;
-        let mut near_count = 0usize;
         cs.sender_buf.clear();
         for r in refs {
             let entries = grid.entries(r.cell);
@@ -323,15 +357,13 @@ fn resolve_candidate(ctx: &SlotCtx<'_>, u: NodeId, cs: &mut ChunkScratch) {
                     cs.sender_buf.push(e.id);
                 }
             }
-            near_count += entries.len();
         }
         cs.cells += refs.len() as u64;
-        let far_tail = (ctx.k - near_count) as f64 * ctx.far_cap;
         // [total_low, total_high] brackets the naive resolver's
         // floating-point interference sum; SUM_SLACK absorbs the
         // different summation order (see its docs).
         let total_low = near_sum * (1.0 - SUM_SLACK);
-        let total_high = (near_sum + far_tail) * (1.0 + SUM_SLACK);
+        let total_high = (near_sum + ctx.far_tail[idx]) * (1.0 + SUM_SLACK);
 
         // `certified` clears β even pessimistically; `possible` counts
         // senders clearing β optimistically.
@@ -433,6 +465,96 @@ fn stamp_candidate_cells(
                 });
             }
         });
+    }
+}
+
+/// Fills `ladder` with the far-field radii of a `rows × cols` grid:
+/// `reach, reach+1, …, 2·reach`, then doubling until a radius covers the
+/// grid span (the largest Chebyshev distance between two of its cells).
+/// Each rung carries the per-transmitter cap `P / (radius·R_T)^α` of the
+/// annulus it opens; the last rung's box holds every member.
+fn build_ladder(ladder: &mut Vec<Rung>, grid: &CellGrid, reach: i64, cfg: &SinrConfig) {
+    ladder.clear();
+    let (rows, cols) = grid.dims();
+    let span = rows.max(cols) - 1;
+    let mut radius = reach;
+    loop {
+        let dist = radius as f64 * grid.cell_side();
+        let cap = received_power(cfg.power(), dist, cfg.alpha());
+        ladder.push(Rung { radius, cap });
+        if radius >= span {
+            break;
+        }
+        radius = if radius < 2 * reach {
+            radius + 1
+        } else {
+            2 * radius
+        };
+    }
+}
+
+/// Rebuilds the summed-area table of per-cell member counts and charges
+/// every stamped candidate cell its ring-wise far tail: for consecutive
+/// rungs `r < r′`, the members whose Chebyshev cell distance lies in
+/// `(r, r′]` times the cap of `r`.
+///
+/// `counts` holds `(rows+1)·(cols+1)` entries whose first row and column
+/// stay zero; `counts[(y+1)·(cols+1) + x+1]` counts the members of cells
+/// `(x′, y′)` with `x′ ≤ x` and `y′ ≤ y`. Member counts fit `u32` because
+/// [`CellGrid::try_bind`] refuses point sets of `u32::MAX` nodes or more.
+// lint:hot — ring-tail pass, runs once per grid slot
+fn charge_ring_tails(
+    grid: &CellGrid,
+    ladder: &[Rung],
+    counts: &mut [u32],
+    stamped: &[u32],
+    far_tail: &mut [f64],
+) {
+    let (rows, cols) = grid.dims();
+    let width = cols as usize + 1;
+    // Scatter the occupied cells' member counts, then prefix-sum in place
+    // row by row: each entry adds its row's running sum to the entry above.
+    counts.fill(0);
+    for &c in grid.occupied() {
+        let (cx, cy) = grid.cell_coords(c);
+        let members = u32::try_from(grid.entries(c).len()).unwrap_or(u32::MAX);
+        counts[(cy as usize + 1) * width + cx as usize + 1] = members;
+    }
+    for y in 1..counts.len() / width {
+        let (above, below) = counts.split_at_mut(y * width);
+        let mut row = 0u32;
+        for (cur, &up) in below[..width].iter_mut().zip(&above[(y - 1) * width..]) {
+            row += *cur;
+            *cur = up + row;
+        }
+    }
+    let total = counts[rows as usize * width + cols as usize];
+    debug_assert!(
+        far_tail.len() >= stamped.len(),
+        "far-tail buffer undersized"
+    );
+    for (tail, &c) in far_tail.iter_mut().zip(stamped) {
+        let (cx, cy) = grid.cell_coords(c);
+        // Members within Chebyshev distance `r` of the cell, clipped to
+        // the grid; each difference below is a non-negative strip count.
+        let within = |r: i64| -> u32 {
+            let x0 = (cx - r).max(0) as usize;
+            let x1 = (cx + r).min(cols - 1) as usize + 1;
+            let y0 = (cy - r).max(0) as usize * width;
+            let y1 = ((cy + r).min(rows - 1) as usize + 1) * width;
+            (counts[y1 + x1] - counts[y1 + x0]) - (counts[y0 + x1] - counts[y0 + x0])
+        };
+        let mut inside = within(ladder[0].radius);
+        let mut sum = 0.0f64;
+        for pair in ladder.windows(2) {
+            if inside == total {
+                break;
+            }
+            let outer = within(pair[1].radius);
+            sum += f64::from(outer - inside) * pair[0].cap;
+            inside = outer;
+        }
+        *tail = sum;
     }
 }
 
@@ -661,6 +783,9 @@ impl FastSinrModel {
             while gs.near_refs.len() < lists_needed {
                 gs.near_refs.push(Vec::with_capacity(window_cap));
             }
+            if gs.far_tail.len() < lists_needed {
+                gs.far_tail.resize(lists_needed, 0.0);
+            }
             if let Some(grid) = &gs.grid {
                 stamp_candidate_cells(
                     grid,
@@ -669,6 +794,13 @@ impl FastSinrModel {
                     &mut gs.cand_cell_idx,
                     &mut gs.stamped,
                     &mut gs.near_refs,
+                );
+                charge_ring_tails(
+                    grid,
+                    &gs.ladder,
+                    &mut gs.counts,
+                    &gs.stamped,
+                    &mut gs.far_tail,
                 );
             }
         }
@@ -682,17 +814,11 @@ impl FastSinrModel {
             grid: if use_grid { gs.grid.as_ref() } else { None },
             cand_cell_idx: &gs.cand_cell_idx,
             near_refs: &gs.near_refs,
-            // Far transmitters sit strictly beyond `near_reach` cells (two
-            // cells whose dense coordinates differ by more than `reach` in
-            // a coordinate are separated by more than `reach · cell` in
-            // that coordinate), so each contributes strictly less than
-            // this cap.
-            far_cap: received_power(power, self.near_reach as f64 * g.radius(), alpha),
+            far_tail: &gs.far_tail,
             adjacency_r2: g.radius() * g.radius(),
             power,
             alpha,
             beta: self.cfg.beta(),
-            k,
         };
 
         pairs.clear();
@@ -792,6 +918,13 @@ impl FastSinrModel {
                     let shortfall = window_cap.saturating_sub(list.capacity());
                     list.reserve(shortfall);
                 }
+                // The ring-tail state is sized here too: one far tail per
+                // pooled list, and the count table over the whole grid.
+                gs.far_tail.clear();
+                gs.far_tail.resize(lists, 0.0);
+                gs.counts.clear();
+                gs.counts.resize(((rows + 1) * (cols + 1)) as usize, 0);
+                build_ladder(&mut gs.ladder, grid, self.near_reach, &self.cfg);
             }
         }
         let Some(grid) = &mut gs.grid else {
@@ -1325,5 +1458,124 @@ mod tests {
                 full_rebuilds: 14,
             }
         );
+    }
+
+    /// Resolves one slot of `pts` at the given `alpha` and `reach`, then
+    /// checks for every candidate `u` that its cell's ring tail brackets
+    /// the far field: the exact sum over transmitters more than `reach`
+    /// cells away ≤ the ring tail ≤ the flat `|far| · P/(reach·R_T)^α`.
+    /// Returns whether a corner cell and a non-corner edge cell were among
+    /// the checked candidate cells.
+    fn assert_ring_tail_brackets(
+        pts: &[Point],
+        tx_every: usize,
+        alpha: f64,
+        reach: i64,
+    ) -> (bool, bool) {
+        let c = SinrConfig::with_unit_range(alpha, 1.5, 2.0);
+        let g = UnitDiskGraph::new(pts.to_vec(), c.r_t());
+        let tx: Vec<NodeId> = (0..g.len()).step_by(tx_every).collect();
+        assert!(
+            tx.len() > SMALL_SLOT_EXACT_CUTOFF,
+            "slot must take the grid path"
+        );
+        let fast = FastSinrModel::with_near_reach(c, reach);
+        assert_eq!(fast.resolve(&g, &tx), SinrModel::new(c).resolve(&g, &tx));
+
+        let scratch = fast.scratch.borrow();
+        let gs = &scratch.gs;
+        let grid = gs.grid.as_ref().expect("the field binds a dense grid");
+        let (rows, cols) = grid.dims();
+        assert!(
+            rows.max(cols) >= 4 * (2 * reach + 1),
+            "field must be at least 4× the window width"
+        );
+        assert!(gs.ladder.len() >= 3, "several annuli: {:?}", gs.ladder);
+        let positions = g.positions();
+        let flat_cap = received_power(c.power(), reach as f64 * c.r_t(), c.alpha());
+        let mut is_tx = vec![false; g.len()];
+        for &t in &tx {
+            is_tx[t] = true;
+        }
+        let (mut corner, mut edge, mut tighter) = (false, false, false);
+        let mut checked = 0usize;
+        for u in (0..g.len()).filter(|&u| !is_tx[u]) {
+            if !g.neighbors(u).iter().any(|&v| is_tx[v]) {
+                continue; // not a candidate this slot
+            }
+            let cell = grid.cell_of(u);
+            let idx = gs.cand_cell_idx[cell as usize];
+            assert_ne!(idx, NOT_STAMPED, "candidate {u} has a stamped cell");
+            let ring = gs.far_tail[idx as usize];
+            let mut exact = 0.0f64;
+            let mut far = 0usize;
+            for &w in &tx {
+                if grid.cheb(cell, grid.cell_of(w)) > reach {
+                    exact +=
+                        received_power(c.power(), positions[u].distance(positions[w]), c.alpha());
+                    far += 1;
+                }
+            }
+            let flat = far as f64 * flat_cap;
+            assert!(
+                exact <= ring && ring <= flat,
+                "alpha {alpha} reach {reach} node {u}: exact {exact} ring {ring} flat {flat}"
+            );
+            tighter |= ring < flat;
+            let (cx, cy) = grid.cell_coords(cell);
+            let (x_edge, y_edge) = (cx == 0 || cx == cols - 1, cy == 0 || cy == rows - 1);
+            corner |= x_edge && y_edge;
+            edge |= x_edge != y_edge;
+            checked += 1;
+        }
+        assert!(checked > 0, "alpha {alpha} reach {reach}: no candidates");
+        assert!(
+            tighter,
+            "alpha {alpha} reach {reach}: ring tail never beat the flat tail"
+        );
+        (corner, edge)
+    }
+
+    #[test]
+    fn ring_tail_brackets_exact_far_field() {
+        // A jittered 67×67 lattice on a 40×40 field: every cell holds
+        // nodes, so corner and edge cells (clipped windows) are stamped.
+        let side = 67usize;
+        let jitter = scatter(side * side, 0.3, 17);
+        let lattice: Vec<Point> = (0..side * side)
+            .map(|i| {
+                let (x, y) = ((i % side) as f64, (i / side) as f64);
+                Point::new(x * 0.6 + jitter[i].x, y * 0.6 + jitter[i].y)
+            })
+            .collect();
+        // A single row of nodes along a 60-wide strip (one grid row).
+        let line: Vec<Point> = (0..200)
+            .map(|i| Point::new(i as f64 * 0.3, 0.5 + 0.2 * jitter[i].y))
+            .collect();
+        for &alpha in &[2.5f64, 3.0, 4.0, 6.0] {
+            for &reach in &[1i64, 2, 4] {
+                let (corner, edge) = assert_ring_tail_brackets(&lattice, 13, alpha, reach);
+                assert!(
+                    corner && edge,
+                    "alpha {alpha} reach {reach}: corner {corner} edge {edge}"
+                );
+                assert_ring_tail_brackets(&line, 5, alpha, reach);
+            }
+        }
+    }
+
+    #[test]
+    fn contention_slot_stays_on_the_fast_path() {
+        // One slot at steady-contention density: n = 4096 at degree 12
+        // with 150 transmitters. Charging every far transmitter at the
+        // nearest ring certifies only ~84% of these candidates; the ring
+        // tail certifies ~99%.
+        let c = cfg();
+        let g = UnitDiskGraph::new(scatter_with_degree(4096, 12.0, 1), c.r_t());
+        let tx = spread_tx(4096, 150);
+        let fast = FastSinrModel::new(c);
+        assert_eq!(fast.resolve(&g, &tx), SinrModel::new(c).resolve(&g, &tx));
+        let rate = fast.stats().hit_rate().expect("candidates were resolved");
+        assert!(rate >= 0.95, "fast-path hit rate {rate}");
     }
 }

@@ -16,11 +16,16 @@ use sinr_pool::Pool;
 /// A placement plus a sequence of per-slot transmitter sets. Consecutive
 /// sets are drawn independently, so the churn between them is maximal —
 /// far harsher than the engine's real slot-to-slot evolution.
+///
+/// Half the fields are compact (2–7 cells wide, most transmitters near
+/// at the default reach), half wide (7–30 cells), so far transmitters
+/// spread over several rings of the resolver's far-field ladder.
 fn arb_churn_sequence(
     max_n: usize,
     max_slots: usize,
 ) -> impl Strategy<Value = (Vec<Point>, Vec<Vec<NodeId>>)> {
-    (2.0..7.0f64)
+    (0usize..2, 2.0..7.0f64, 7.0..30.0f64)
+        .prop_map(|(wide, compact, spread)| if wide == 1 { spread } else { compact })
         .prop_flat_map(move |extent| {
             prop::collection::vec(
                 (0.0..extent, 0.0..extent).prop_map(|(x, y)| Point::new(x, y)),
@@ -51,17 +56,19 @@ proptest! {
     /// Delta-driven and plain-resolve-driven stateful resolution both
     /// match the naive resolver on every slot of a high-churn sequence,
     /// with epoch rebuilds forced every other slot so sequences cross
-    /// rebuild boundaries mid-run.
+    /// rebuild boundaries mid-run. The near-window reach is drawn too, so
+    /// small reaches put most transmitters into the ring-wise far tail.
     #[test]
     fn churned_sequences_match_naive_bit_for_bit(
         (pts, sets) in arb_churn_sequence(60, 12),
+        reach in 1i64..5,
     ) {
         let cfg = SinrConfig::default_unit();
         let g = UnitDiskGraph::new(pts, cfg.r_t());
         let naive = SinrModel::new(cfg);
-        let mut by_delta = FastSinrModel::new(cfg);
+        let mut by_delta = FastSinrModel::with_near_reach(cfg, reach);
         by_delta.set_epoch_interval(2);
-        let by_resolve = FastSinrModel::new(cfg);
+        let by_resolve = FastSinrModel::with_near_reach(cfg, reach);
 
         let mut prev: Vec<NodeId> = Vec::new();
         for (slot, tx) in sets.iter().enumerate() {
